@@ -243,7 +243,7 @@ def run_throughput(batches: int, count: int, workers: int, scale: int) -> Dict:
         "seconds": round(elapsed, 4),
         "queries_per_second": round(total / max(elapsed, 1e-9), 1),
         "modes": [entry["mode"] for entry in stats["mode_history"]],
-        "drift_events": len(stats["controller"]["drift_events"]),
+        "controller": stats["controller"],
         "classification_calls": stats["classification_calls"],
         "profile_l1_hits": (profiles.get("l1") or {}).get("hits", 0),
         "answer_store_size": answers.get("size", 0),

@@ -15,12 +15,11 @@ from repro.classification.solver_dispatch import (
     PlannerConfig,
     SlimSolveResult,
 )
-from repro.eval.executor import EvalService, ExecutorConfig
+from repro.eval.executor import AdaptiveController, EvalService, ExecutorConfig
 from repro.eval.planner import (
     COST_CAP,
     QueryPlan,
     clear_plan_cache,
-    conservative_cost_estimate,
     estimate_route_costs,
     plan_cache_info,
     plan_query,
@@ -43,8 +42,8 @@ __all__ = [
     "estimate_route_costs",
     "route_raw_units",
     "route_weights",
-    "conservative_cost_estimate",
     "COST_CAP",
     "EvalService",
+    "AdaptiveController",
     "ExecutorConfig",
 ]

@@ -15,6 +15,10 @@ service able to chew through very large query batches:
   (at pool initialisation) and keeps its own per-vocabulary target
   structures, database statistics and classification-profile cache, so a
   chunk never re-ships or re-derives the database side.
+* **one serial/parallel decision** — :class:`AdaptiveController` weighs
+  realised per-query time against the measured per-chunk spawn
+  overhead; every caller, from :func:`repro.cq.evaluate_query_set` to
+  the query service, goes through it.
 * **determinism** — chunks are indexed at submission and results are
   yielded strictly in submission order, so the output of the parallel
   path is the same *list* the sequential path produces, regardless of
@@ -36,7 +40,9 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
+    Generator,
     Iterable,
     Iterator,
     List,
@@ -58,11 +64,7 @@ from repro.classification.solver_dispatch import (
 )
 from repro.cq.database import Database
 from repro.cq.query import ConjunctiveQuery
-from repro.eval.planner import (
-    QueryPlan,
-    conservative_cost_estimate,
-    plan_query_cached,
-)
+from repro.eval.planner import QueryPlan, plan_query_cached
 from repro.eval.stats import DatabaseStatistics
 from repro.structures.structure import Structure
 from repro.structures.vocabulary import Vocabulary
@@ -81,6 +83,12 @@ AnySolveResult = Union[SolveResult, SlimSolveResult]
 #: case at a few thousand small result objects per worker.
 _SOLVED_CACHE_LIMIT = 4096
 
+#: Per-chunk pool overhead (seconds) assumed until one is measured.
+DEFAULT_SPAWN_OVERHEAD_SECONDS = 0.005
+
+#: Weight of the newest value in the controller's moving averages.
+_EWMA_ALPHA = 0.3
+
 
 @dataclass(frozen=True)
 class ExecutorConfig:
@@ -92,15 +100,8 @@ class ExecutorConfig:
     start-up costs more than a handful of queries.  ``inflight_factor``
     bounds the submission window to ``workers · inflight_factor`` chunks,
     which is what keeps streaming over huge batches memory-bounded.
-
-    ``adaptive=True`` (the default) lets the service cut over to the
-    in-process path even when workers are configured: on a single-CPU
-    machine process fan-out can only lose, and when the planner's
-    estimated cost for a chunk of queries stays below
-    ``spawn_cost_threshold`` (cost-model units — elementary extension
-    steps) the work is cheaper than shipping it.  The decision samples
-    the first ``adaptive_sample`` queries of the batch; the service
-    records the outcome in :attr:`EvalService.last_mode`.
+    Whether a longer batch goes to the pool is the
+    :class:`AdaptiveController`'s call, made from realised timings.
 
     ``slim_results=True`` makes evaluation return
     :class:`~repro.classification.solver_dispatch.SlimSolveResult`
@@ -123,9 +124,6 @@ class ExecutorConfig:
     chunk_size: int = 16
     min_parallel_batch: int = 32
     inflight_factor: int = 4
-    adaptive: bool = True
-    spawn_cost_threshold: float = 250_000.0
-    adaptive_sample: int = 8
     slim_results: bool = False
     chunk_deadline_seconds: Optional[float] = None
     max_recycles: int = 3
@@ -137,10 +135,6 @@ class ExecutorConfig:
             raise ValueError("chunk_size must be at least 1")
         if self.inflight_factor < 1:
             raise ValueError("inflight_factor must be at least 1")
-        if self.adaptive_sample < 1:
-            raise ValueError("adaptive_sample must be at least 1")
-        if self.spawn_cost_threshold < 0:
-            raise ValueError("spawn_cost_threshold must be non-negative")
         if self.chunk_deadline_seconds is not None and self.chunk_deadline_seconds <= 0:
             raise ValueError("chunk_deadline_seconds must be positive")
         if self.max_recycles < 0:
@@ -151,6 +145,113 @@ class ExecutorConfig:
         if self.workers is None:
             return os.cpu_count() or 1
         return max(1, self.workers)
+
+
+def _ewma(previous: Optional[float], value: float) -> float:
+    if previous is None:
+        return value
+    return _EWMA_ALPHA * value + (1.0 - _EWMA_ALPHA) * previous
+
+
+class AdaptiveController:
+    """The one serial/parallel decision, made from realised timings only.
+
+    Two exponentially weighted moving averages drive it:
+
+    * ``seconds_per_query`` — realised seconds per query in
+      serial-equivalent terms, fed by every batch the service runs with
+      more than one worker.  A parallel batch of wall time ``W`` over
+      ``c`` chunks on ``k`` workers counts as ``k · (W − c · o)`` serial
+      seconds, ``o`` being the spawn overhead below.  An average
+      follows a shifted workload by construction; nothing resets it.
+    * ``spawn_overhead_seconds`` — the per-chunk cost of shipping work
+      to the pool.  It starts from :data:`DEFAULT_SPAWN_OVERHEAD_SECONDS`
+      (or a loaded calibration) and folds in what each parallel batch
+      with telemetry implies: ``(W − S/k) / c`` for ``S`` seconds of
+      measured solver time.
+
+    A batch goes parallel when a chunk's worth of queries is expected
+    to take longer in-process than shipping the chunk costs.  Before
+    the first observation :meth:`decide` returns mode None, and the
+    executor times the head of the batch in-process to make the call.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        chunk_size: int,
+        min_parallel_batch: int = 32,
+        spawn_overhead_seconds: float = DEFAULT_SPAWN_OVERHEAD_SECONDS,
+    ) -> None:
+        self.workers = workers
+        self.chunk_size = chunk_size
+        self.min_parallel_batch = min_parallel_batch
+        self.spawn_overhead_seconds = spawn_overhead_seconds
+        self.seconds_per_query: Optional[float] = None
+        self.queries_observed = 0
+        self.overhead_observations = 0
+
+    def _chunks_of(self, queries: int) -> int:
+        return -(-queries // self.chunk_size)
+
+    def observe(self, seconds: float, queries: int, mode: str) -> None:
+        """Fold one run's realised time into ``seconds_per_query``."""
+        if queries <= 0:
+            return
+        if mode == "parallel":
+            shipping = self._chunks_of(queries) * self.spawn_overhead_seconds
+            seconds = max(0.0, seconds - shipping) * self.workers
+        self.seconds_per_query = _ewma(self.seconds_per_query, seconds / queries)
+        self.queries_observed += queries
+
+    def observe_spawn_overhead(
+        self, wall_seconds: float, solve_seconds: float, queries: int
+    ) -> None:
+        """Fold in the per-chunk overhead one parallel batch implies."""
+        if queries <= 0 or wall_seconds < 0.0:
+            return
+        per_chunk = max(
+            0.0,
+            (wall_seconds - solve_seconds / max(1, self.workers))
+            / self._chunks_of(queries),
+        )
+        self.spawn_overhead_seconds = _ewma(self.spawn_overhead_seconds, per_chunk)
+        self.overhead_observations += 1
+
+    def decide(self, batch_size: int) -> Tuple[Optional[str], str]:
+        """``(mode, reason)`` for a batch of (at least) ``batch_size`` queries.
+
+        Mode None means there is nothing to decide from yet: the caller
+        times the head of the batch and asks again.
+        """
+        if (os.cpu_count() or 1) <= 1:
+            return "sequential", "single CPU"
+        if batch_size < max(1, self.min_parallel_batch):
+            return "sequential", "batch below min_parallel_batch"
+        if batch_size <= self.chunk_size:
+            # One chunk runs on one worker: nothing to fan out.
+            return "sequential", "batch fits in one chunk"
+        if self.seconds_per_query is None:
+            return None, "no observations yet"
+        chunk_seconds = self.seconds_per_query * self.chunk_size
+        overhead = self.spawn_overhead_seconds
+        if chunk_seconds < overhead:
+            return (
+                "sequential",
+                f"chunk time {chunk_seconds:.2e}s below spawn overhead {overhead:.2e}s",
+            )
+        return (
+            "parallel",
+            f"chunk time {chunk_seconds:.2e}s above spawn overhead {overhead:.2e}s",
+        )
+
+    def info(self) -> Dict[str, Any]:
+        return {
+            "queries_observed": self.queries_observed,
+            "seconds_per_query": self.seconds_per_query,
+            "spawn_overhead_seconds": self.spawn_overhead_seconds,
+            "overhead_observations": self.overhead_observations,
+        }
 
 
 class _EvaluationContext:
@@ -291,33 +392,6 @@ class _EvaluationContext:
             else None
         )
         return plan_query_cached(profile, stats, self.config)
-
-    def profile_if_cached(self, pattern: Structure) -> Optional[StructureProfile]:
-        """An already-computed profile for ``pattern``, or None — never classifies."""
-        if self.use_cache and self.stores is not None and self.stores.profiles is not None:
-            return self.stores.profiles.peek(pattern)
-        if self.use_cache:
-            from repro.cq.evaluation import peek_cached_profile
-
-            return peek_cached_profile(pattern)
-        return self.local_profiles.get(pattern)
-
-    def estimated_cost(self, query: ConjunctiveQuery) -> float:
-        """A work estimate for one query, without speculative classification.
-
-        When the pattern's profile is already cached the planner's route
-        estimate is used (statistics are consulted even in threshold
-        mode).  Otherwise the profile-free conservative overestimate
-        stands in: classifying head patterns in the parent just to make
-        the cutover decision would duplicate work the pool workers redo
-        anyway whenever the verdict is "parallel".
-        """
-        pattern = query.canonical_structure()
-        stats = self.stats_for(query.vocabulary())
-        profile = self.profile_if_cached(pattern)
-        if profile is not None:
-            return plan_query_cached(profile, stats, self.config).cost
-        return conservative_cost_estimate(len(pattern), stats, self.config)
 
     def solve(
         self,
@@ -486,6 +560,12 @@ class EvalService:
         #: this next to their timings so a cutover is visible in the report.
         self.last_mode: Optional[str] = None
         self.last_mode_reason: Optional[str] = None
+        #: The service-lifetime serial/parallel decision.
+        self.controller = AdaptiveController(
+            workers=self._executor.effective_workers(),
+            chunk_size=self._executor.chunk_size,
+            min_parallel_batch=self._executor.min_parallel_batch,
+        )
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
@@ -605,21 +685,11 @@ class EvalService:
     ) -> List[Tuple[ConjunctiveQuery, AnySolveResult]]:
         """Evaluate a whole batch; the materialised form of the stream.
 
-        Small batches (shorter than the executor's ``min_parallel_batch``)
-        take the in-process path even when workers are configured.
         ``mode`` forces a path (see :meth:`evaluate_stream`).
         ``deadline`` bounds the whole call with one composed budget;
         exhausting it raises
         :class:`~repro.exceptions.DeadlineExceededError`.
         """
-        workers = self._executor.effective_workers()
-        if (
-            mode is None
-            and workers > 1
-            and len(queries) < self._executor.min_parallel_batch
-        ):
-            self._record_mode("sequential", "batch below min_parallel_batch")
-            return list(self._evaluate_sequential(queries, use_cache, deadline))
         return list(
             self.evaluate_stream(
                 queries, use_cache=use_cache, mode=mode, deadline=deadline
@@ -639,18 +709,18 @@ class EvalService:
         ``workers · inflight_factor`` chunks are in flight at any moment,
         so memory stays proportional to the window, not the batch.
 
-        With ``adaptive`` enabled (the default) the service may decide,
-        from the CPU count and the planner's cost estimates over a small
-        head sample, that process fan-out would cost more than the work
-        itself and run the whole batch in-process instead; the decision
-        is recorded in :attr:`last_mode` / :attr:`last_mode_reason`.
+        With more than one worker the :attr:`controller` decides where
+        the batch runs, and every run feeds it the time it took.  A
+        controller with no observations yet has the head of the batch
+        run in-process — one chunk at most, less once its time exceeds
+        the spawn overhead — and decides the rest from that measurement.
+        The outcome is recorded in :attr:`last_mode` /
+        :attr:`last_mode_reason`.
 
-        ``mode`` overrides every heuristic: ``"sequential"`` or
-        ``"parallel"`` forces that path for this call.  A caller that
-        owns a service-lifetime decision — the query-service front-end's
-        drift-detecting controller — uses this instead of the per-call
-        head sampling.  (``"parallel"`` still degrades to sequential
-        when the executor resolves to a single worker.)
+        ``mode`` overrides the controller: ``"sequential"`` or
+        ``"parallel"`` forces that path for this call.  (``"parallel"``
+        still degrades to sequential when the executor resolves to a
+        single worker.)
         """
         if mode not in (None, "sequential", "parallel"):
             raise ValueError(f"unknown forced mode {mode!r}")
@@ -658,61 +728,81 @@ class EvalService:
             self._record_mode("sequential", "workers <= 1")
             yield from self._evaluate_sequential(queries, use_cache, deadline)
             return
-        if mode == "sequential":
-            self._record_mode("sequential", "forced by caller")
-            yield from self._evaluate_sequential(queries, use_cache, deadline)
-            return
-        if mode == "parallel":
-            self._record_mode("parallel", "forced by caller")
-            yield from self._evaluate_parallel(queries, use_cache, deadline)
-            return
-        if not self._executor.adaptive:
-            self._record_mode("parallel", "adaptive cutover disabled")
-            yield from self._evaluate_parallel(queries, use_cache, deadline)
-            return
-        query_iterator = iter(queries)
-        head = list(islice(query_iterator, self._executor.adaptive_sample))
-        if not head:
-            self._record_mode("sequential", "empty batch")
-            return
-        rest = chain(head, query_iterator)
-        cutover_reason = self._adaptive_cutover_reason(head, use_cache)
-        if cutover_reason is not None:
-            self._record_mode("sequential", cutover_reason)
-            yield from self._evaluate_sequential(rest, use_cache, deadline)
-            return
-        self._record_mode("parallel", "chunk cost above spawn threshold")
-        yield from self._evaluate_parallel(rest, use_cache, deadline)
+        controller = self.controller
+        queries = iter(queries)
+        reason = "forced by caller"
+        if mode is None:
+            # Enough of a look ahead that a batch still counts as longer
+            # than one chunk after a cold head has run.
+            head = list(
+                islice(
+                    queries,
+                    max(controller.min_parallel_batch, 2 * controller.chunk_size + 1),
+                )
+            )
+            queries = chain(head, queries)
+            mode, reason = controller.decide(len(head))
+        run = None
+        try:
+            if mode is None:
+                run = self._evaluate_sequential(queries, use_cache, deadline)
+                timed = yield from self._observed(
+                    "sequential",
+                    run,
+                    limit=controller.chunk_size,
+                    stop_after=controller.spawn_overhead_seconds,
+                )
+                mode, reason = controller.decide(len(head) - timed)
+                if mode == "parallel":
+                    run.close()
+                    run = None
+            self._record_mode(mode, reason)
+            if run is None:
+                path = (
+                    self._evaluate_parallel
+                    if mode == "parallel"
+                    else self._evaluate_sequential
+                )
+                run = path(queries, use_cache, deadline)
+            yield from self._observed(mode, run)
+        finally:
+            if run is not None:
+                run.close()
+
+    def _observed(
+        self,
+        mode: str,
+        pairs: Iterator[Tuple[ConjunctiveQuery, AnySolveResult]],
+        limit: Optional[int] = None,
+        stop_after: Optional[float] = None,
+    ) -> Generator[Tuple[ConjunctiveQuery, AnySolveResult], None, int]:
+        """Yield from ``pairs``, feeding the controller the time they took.
+
+        Only time spent producing pairs counts, not the consumer's time
+        between them.  ``limit`` (pairs) and ``stop_after`` (seconds)
+        stop early, leaving ``pairs`` open for the caller to resume.
+        Returns the number of pairs yielded.
+        """
+        busy = 0.0
+        count = 0
+        try:
+            while limit is None or count < limit:
+                start = time.perf_counter()
+                pair = next(pairs, None)
+                busy += time.perf_counter() - start
+                if pair is None:
+                    break
+                count += 1
+                yield pair
+                if stop_after is not None and busy > stop_after:
+                    break
+        finally:
+            self.controller.observe(busy, count, mode)
+        return count
 
     def _record_mode(self, mode: str, reason: str) -> None:
         self.last_mode = mode
         self.last_mode_reason = reason
-
-    def _adaptive_cutover_reason(
-        self, head: Sequence[ConjunctiveQuery], use_cache: bool
-    ) -> Optional[str]:
-        """Why this batch should stay in-process, or None to go parallel.
-
-        Two cutovers: a single visible CPU (fan-out can only add IPC on
-        top of the same core), and an estimated per-chunk cost below the
-        spawn-overhead threshold (the planner's estimates over the head
-        sample, scaled to a chunk — cheap queries lose more to pickling
-        and scheduling than their evaluation costs).
-        """
-        if (os.cpu_count() or 1) <= 1:
-            return "single CPU"
-        context = self._introspection_context(use_cache)
-        total = 0.0
-        for query in head:
-            total += context.estimated_cost(query)
-        mean_cost = total / len(head)
-        chunk_cost = mean_cost * self._executor.chunk_size
-        if chunk_cost < self._executor.spawn_cost_threshold:
-            return (
-                f"estimated chunk cost {chunk_cost:.0f} below spawn "
-                f"threshold {self._executor.spawn_cost_threshold:.0f}"
-            )
-        return None
 
     # -- the two paths ------------------------------------------------------
     def _evaluate_sequential(

@@ -4,8 +4,7 @@ Where :mod:`repro.eval` turns one batch of queries into answers as fast
 as the hardware allows, this package turns the evaluator into a
 *service*: state that outlives batches (and is shared across pool
 workers), a planner that learns its own cost weights from realised
-timings, and a front-end that batches requests and decides serial vs
-parallel once per lifetime instead of once per call.
+timings, and a front-end that batches requests.
 
 * :mod:`repro.service.store` — :class:`SharedStore` (manager-backed
   cross-process KV with a process-local L1 and an exactly-once compute
@@ -15,13 +14,13 @@ parallel once per lifetime instead of once per call.
   least-squares weight fitting, the no-regression guard
   (:func:`select_planner`), spawn-overhead measurement and
   :class:`CalibrationState` persistence.
-* :mod:`repro.service.frontend` — :class:`QueryService` and its
-  :class:`AdaptiveController`.
+* :mod:`repro.service.frontend` — :class:`QueryService`; serial vs
+  parallel is left to the executor's :class:`AdaptiveController`
+  (re-exported here).
 * :mod:`repro.service.autotune` — the background recalibration loop:
   :class:`AutoTuner` re-fits planner weights on a cadence or on
   telemetry-residual drift and hot-swaps the config (guarded, no pool
-  restart); :class:`SpawnOverheadTracker` keeps the serial/parallel
-  threshold honest from realised parallel batches.
+  restart).
 * :mod:`repro.service.metrics` — a Prometheus-style
   :class:`MetricsRegistry` (counters/gauges/histograms with a text
   exposition) every service registers its observables into.
@@ -49,9 +48,9 @@ from repro.service.autotune import (
     AutoTuneConfig,
     AutoTuner,
     ResidualTracker,
-    SpawnOverheadTracker,
 )
-from repro.service.frontend import AdaptiveController, QueryService
+from repro.eval.executor import AdaptiveController
+from repro.service.frontend import QueryService
 from repro.service.metrics import (
     Counter,
     Gauge,
@@ -70,6 +69,7 @@ from repro.service.store import (
     ServiceStores,
     SharedStore,
     StoreManager,
+    TelemetryCursor,
     TelemetrySink,
 )
 from repro.service.telemetry import (
@@ -91,6 +91,7 @@ __all__ = [
     "AdaptiveController",
     "SharedStore",
     "TelemetrySink",
+    "TelemetryCursor",
     "ServiceStores",
     "StoreManager",
     "SolveSample",
@@ -107,7 +108,6 @@ __all__ = [
     "AutoTuner",
     "AutoTuneConfig",
     "ResidualTracker",
-    "SpawnOverheadTracker",
     "MetricsRegistry",
     "Counter",
     "Gauge",

@@ -23,7 +23,8 @@ level:
   a crashed claimant can never wedge the store.
 * :class:`TelemetrySink` — the cross-process sample buffer behind
   telemetry-driven planner calibration (:mod:`repro.service.telemetry`):
-  workers append batches of solve samples, the parent drains them.
+  workers append batches of solve samples, the parent drains them (all
+  retained, or only what is new since a :class:`TelemetryCursor`).
 * :class:`ServiceStores` — the picklable bundle the executor threads
   through pool initialisation, plus :class:`StoreManager`, the owner of
   the manager process's lifetime.
@@ -586,6 +587,19 @@ class SharedStore:
         return shared
 
 
+@dataclass
+class TelemetryCursor:
+    """One reader's position in a :class:`TelemetrySink`.
+
+    ``sequence`` is the last batch the reader consumed; ``epoch`` names
+    the sink backing it was read from, so a failover's fresh backing
+    (whose numbering restarts) is read from its start.
+    """
+
+    sequence: int = -1
+    epoch: int = 0
+
+
 class TelemetrySink:
     """A cross-process, *bounded* buffer of solve samples.
 
@@ -596,6 +610,11 @@ class TelemetrySink:
     telemetry forever, and calibration wants a recent window anyway
     (old-regime samples would outvote a shifted workload).  The local
     form uses a plain list.
+
+    Every batch carries a sequence number assigned under the sink lock,
+    so a reader holding a :class:`TelemetryCursor` gets exactly the
+    batches recorded since its last read, however full the sink is —
+    unless more than ``max_batches`` arrived in between.
 
     Telemetry is advisory: under manager failure, :meth:`record` drops
     the batch (counted) and :meth:`drain` reads empty rather than
@@ -617,6 +636,8 @@ class TelemetrySink:
         self._policy = policy
         self._breaker = CircuitBreaker()
         self._dropped_batches = 0
+        #: Bumped by :meth:`rebind`; tells cursors the numbering restarted.
+        self._epoch = 0
 
     @classmethod
     def local(cls, max_batches: int = 1024) -> "TelemetrySink":
@@ -646,22 +667,29 @@ class TelemetrySink:
         """Point the sink at replacement backings (post-failover)."""
         self._batches = batches
         self._lock = lock
+        self._epoch += 1
         self._breaker.reset()
 
     def record(self, samples: list) -> None:
         """Append one batch of samples, dropping the oldest when full.
 
-        The append and the trim are separate list-proxy operations, so
-        the whole cycle holds the sink lock: two workers trimming on a
-        stale ``len`` otherwise over-pop (dropping batches that never
-        exceeded the bound) or race ``pop(0)`` into an IndexError.
+        The sequence read, the append and the trim are separate
+        list-proxy operations, so the whole cycle holds the sink lock:
+        two workers trimming on a stale ``len`` otherwise over-pop
+        (dropping batches that never exceeded the bound) or race
+        ``pop(0)`` into an IndexError, and two appends could share a
+        sequence number.
         """
         if not samples:
             return
 
         def _record_raw() -> None:
             with self._lock:
-                self._batches.append(tuple(samples))
+                try:
+                    sequence = self._batches[-1][0] + 1
+                except IndexError:
+                    sequence = 0
+                self._batches.append((sequence, tuple(samples)))
                 while len(self._batches) > self._max_batches:
                     self._batches.pop(0)
 
@@ -670,27 +698,41 @@ class TelemetrySink:
         except StoreUnavailableError:
             self._dropped_batches += 1
 
-    def drain(self) -> list:
-        """Return every sample recorded so far (order of arrival)."""
+    def drain(self, cursor: Optional[TelemetryCursor] = None) -> list:
+        """Return the retained samples, in order of arrival.
+
+        With a ``cursor`` only the batches recorded after its position
+        are returned, and the cursor moves past them.
+        """
+        after = -1
+        if cursor is not None:
+            if cursor.epoch != self._epoch:
+                cursor.epoch, cursor.sequence = self._epoch, -1
+            after = cursor.sequence
 
         def _drain_raw() -> list:
-            return list(self._batches)
+            return self._batches[:]
 
         try:
-            batches = self._guard("telemetry-drain", _drain_raw)
+            entries = self._guard("telemetry-drain", _drain_raw)
         except StoreUnavailableError:
             return []
-        return [sample for batch in batches for sample in batch]
+        start = len(entries)
+        while start > 0 and entries[start - 1][0] > after:
+            start -= 1
+        if cursor is not None and start < len(entries):
+            cursor.sequence = entries[-1][0]
+        return [sample for _, batch in entries[start:] for sample in batch]
 
     def __len__(self) -> int:
         def _len_raw() -> list:
-            return list(self._batches)
+            return self._batches[:]
 
         try:
-            batches = self._guard("telemetry-len", _len_raw)
+            entries = self._guard("telemetry-len", _len_raw)
         except StoreUnavailableError:
             return 0
-        return sum(len(batch) for batch in batches)
+        return sum(len(batch) for _, batch in entries)
 
     def info(self) -> Dict[str, Any]:
         """This process's sink resilience state."""

@@ -13,15 +13,14 @@ time ``t`` it realised.  This module closes the loop:
 * :func:`fit_route_weights` — per-route least squares through the
   origin, ``w_r = Σ x·t / Σ x²`` over the route's samples.  The fitted
   weights are in **seconds per unit**, so the planner's cost estimates
-  become wall-time predictions and the executor's
-  ``spawn_cost_threshold`` can be stated in the same currency: the
-  measured per-chunk pool overhead (:func:`measure_spawn_overhead`).
+  become wall-time predictions, in the same currency as the
+  controller's per-chunk spawn overhead (:func:`measure_spawn_overhead`).
   Routes the workload never exercised keep their hand-set weight,
   rescaled by the median fitted/hand-set ratio so cross-route
   comparisons stay coherent.
 * :func:`calibrate_planner` — samples in, :class:`CalibrationResult`
   out: a cost-mode :class:`~repro.classification.solver_dispatch.PlannerConfig`
-  with fitted weights plus the fitted spawn threshold.
+  with fitted weights plus the spawn overhead in force.
 * :func:`select_planner` — the **no-regression guard**: given measured
   per-route timings for representative workloads, the fitted config is
   adopted only if its route choices win or tie the incumbent's on
@@ -44,15 +43,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.classification.classifier import StructureProfile
 from repro.classification.degrees import ComplexityDegree
 from repro.classification.solver_dispatch import DEFAULT_PLANNER_CONFIG, PlannerConfig
+from repro.eval.executor import DEFAULT_SPAWN_OVERHEAD_SECONDS
 from repro.eval.planner import COST_CAP, plan_query, route_raw_units, route_weights
 from repro.eval.stats import DatabaseStatistics
 
 #: Fitted weights are floored here — a degenerate fit (all-zero timings)
 #: must never produce a weight that erases a route's cost entirely.
 _WEIGHT_FLOOR = 1e-12
-
-#: Fallback per-chunk pool overhead (seconds) when none was measured.
-DEFAULT_SPAWN_OVERHEAD_SECONDS = 0.005
 
 
 @dataclass(frozen=True)
@@ -197,7 +194,7 @@ def calibrate_planner(
 
     Because the fitted weights are seconds per unit, cost estimates
     under the returned config *are* wall-time predictions, and the
-    matching executor spawn threshold is simply the measured (or
+    matching serial/parallel threshold is simply the measured (or
     assumed) per-chunk pool overhead, returned as
     ``spawn_cost_threshold``.
     """
@@ -302,9 +299,9 @@ def _noop_chunk(payload: Tuple[int, ...]) -> int:  # pragma: no cover — trivia
 def measure_spawn_overhead(workers: int = 2, rounds: int = 6) -> float:
     """Median seconds to round-trip a trivial chunk through a process pool.
 
-    This is the per-chunk overhead the adaptive decision weighs solving
-    time against: pickling, queueing, scheduling and result shipping for
-    a chunk whose work is free.  Pool start-up is paid outside the timed
+    This is the per-chunk overhead the serial/parallel decision weighs
+    solving time against: pickling, queueing, scheduling and result
+    shipping for a chunk whose work is free.  Pool start-up is paid outside the timed
     region (a service reuses its pool).  Falls back to
     :data:`DEFAULT_SPAWN_OVERHEAD_SECONDS` if no pool can be created.
     """

@@ -301,7 +301,7 @@ def flood_telemetry(sink: Any, batches: int = 1200, per_batch: int = 3) -> int:
     """Record far more sample batches than the sink retains.
 
     Exercises the bounded sink's oldest-batch dropping and, downstream,
-    the front-end's consumed-offset clamp.  Returns the number of
+    the front-end's sequence cursor.  Returns the number of
     samples recorded.
     """
     route = next(iter(ComplexityDegree)).value

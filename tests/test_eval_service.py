@@ -11,7 +11,7 @@ from repro.cq import (
     evaluate_query_set_stream,
     parse_query,
 )
-from repro.eval import EvalService, ExecutorConfig
+from repro.eval import AdaptiveController, EvalService, ExecutorConfig
 from repro.eval.executor import _chunks
 from repro.workloads import scenario_by_name
 
@@ -49,11 +49,11 @@ class TestExecutorConfig:
 class TestParallelEquivalence:
     def test_parallel_results_byte_identical_to_sequential(self, scenario):
         sequential = evaluate_query_set_sequential(scenario.queries, scenario.database)
-        config = ExecutorConfig(workers=2, chunk_size=5, min_parallel_batch=1, adaptive=False)
+        config = ExecutorConfig(workers=2, chunk_size=5, min_parallel_batch=1)
         with EvalService(scenario.database, executor=config) as service:
-            parallel = service.evaluate(scenario.queries)
+            parallel = service.evaluate(scenario.queries, mode="parallel")
             # Pool reuse: a second batch over the same service still matches.
-            again = service.evaluate(scenario.queries[:10])
+            again = service.evaluate(scenario.queries[:10], mode="parallel")
         assert triples(parallel) == triples(sequential)
         assert triples(again) == triples(sequential[:10])
 
@@ -84,12 +84,11 @@ class TestParallelEquivalence:
 
 class TestStreaming:
     def test_stream_preserves_input_order(self, scenario):
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1, adaptive=False)
-        streamed = list(
-            evaluate_query_set_stream(
-                iter(scenario.queries), scenario.database, executor=config
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with EvalService(scenario.database, executor=config) as service:
+            streamed = list(
+                service.evaluate_stream(iter(scenario.queries), mode="parallel")
             )
-        )
         assert triples(streamed) == triples(
             evaluate_query_set_sequential(scenario.queries, scenario.database)
         )
@@ -112,10 +111,12 @@ class TestStreaming:
     def test_stream_window_bounds_inflight_chunks(self, scenario):
         # With a tiny window the stream still terminates and stays ordered.
         config = ExecutorConfig(
-            workers=2, chunk_size=2, min_parallel_batch=1, inflight_factor=1, adaptive=False
+            workers=2, chunk_size=2, min_parallel_batch=1, inflight_factor=1
         )
         with EvalService(scenario.database, executor=config) as service:
-            streamed = list(service.evaluate_stream(scenario.queries[:12]))
+            streamed = list(
+                service.evaluate_stream(scenario.queries[:12], mode="parallel")
+            )
         assert triples(streamed) == triples(
             evaluate_query_set_sequential(scenario.queries[:12], scenario.database)
         )
@@ -145,7 +146,15 @@ class TestCostModePlanning:
         assert stats.relation_sizes["E"] == 120
 
 
+def many_cpus(monkeypatch):
+    import repro.eval.executor as executor_module
+
+    monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+
+
 class TestAdaptiveCutover:
+    """The executor's one serial/parallel decision, end to end."""
+
     def test_single_cpu_cuts_over_to_sequential(self, scenario, monkeypatch):
         import repro.eval.executor as executor_module
 
@@ -159,36 +168,88 @@ class TestAdaptiveCutover:
             evaluate_query_set_sequential(scenario.queries, scenario.database)
         )
 
-    def test_cheap_chunks_cut_over_on_cost(self, scenario, monkeypatch):
-        import repro.eval.executor as executor_module
+    def test_single_worker_takes_the_early_exit(self, scenario):
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            service.evaluate(scenario.queries[:4])
+            assert service.last_mode_reason == "workers <= 1"
+            # The single-worker path does no controller bookkeeping.
+            assert service.controller.queries_observed == 0
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        config = ExecutorConfig(
-            workers=2, min_parallel_batch=1, spawn_cost_threshold=float("inf")
-        )
+    def test_cold_head_on_cheap_batch_stays_sequential(self, scenario, monkeypatch):
+        many_cpus(monkeypatch)
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
         with EvalService(scenario.database, executor=config) as service:
-            service.evaluate(scenario.queries[:6])
+            # Shipping a chunk costs more than any chunk of this batch.
+            service.controller.spawn_overhead_seconds = float("inf")
+            results = service.evaluate(scenario.queries)
             assert service.last_mode == "sequential"
-            assert "below spawn threshold" in service.last_mode_reason
+            assert "below spawn overhead" in service.last_mode_reason
+            assert service._pool is None
+            assert service.controller.queries_observed == len(scenario.queries)
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(scenario.queries, scenario.database)
+        )
 
-    def test_expensive_chunks_stay_parallel(self, scenario, monkeypatch):
+    def test_cold_head_on_expensive_batch_goes_parallel(self, scenario, monkeypatch):
         import repro.eval.executor as executor_module
 
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        config = ExecutorConfig(workers=2, min_parallel_batch=1, spawn_cost_threshold=0.0)
+        many_cpus(monkeypatch)
+        in_process = []
+        original = executor_module._EvaluationContext.solve
+
+        def counting(context, query, deadline=None):
+            in_process.append(query)
+            return original(context, query, deadline)
+
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
         with EvalService(scenario.database, executor=config) as service:
-            results = service.evaluate(scenario.queries[:8])
+            # Any solve outlasts a free spawn: the head stops at once.
+            service.controller.spawn_overhead_seconds = 0.0
+            with monkeypatch.context() as patch:
+                patch.setattr(executor_module._EvaluationContext, "solve", counting)
+                results = service.evaluate(scenario.queries)
+                assert service._pool is not None
+            assert service.last_mode == "parallel"
+            assert "above spawn overhead" in service.last_mode_reason
+        # Pool workers count into their own copies of the list, so only
+        # the parent's in-process head shows up here.
+        assert 1 <= len(in_process) <= config.chunk_size
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(scenario.queries, scenario.database)
+        )
+
+    def test_warm_controller_decides_without_a_head(self, scenario, monkeypatch):
+        many_cpus(monkeypatch)
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with EvalService(scenario.database, executor=config) as service:
+            service.controller.observe(1.0, 10, "sequential")  # 0.1 s/query
+            mode, reason = service.controller.decide(len(scenario.queries))
+            assert mode == "parallel"
+            results = service.evaluate(scenario.queries)
             assert service.last_mode == "parallel"
         assert triples(results) == triples(
-            evaluate_query_set_sequential(scenario.queries[:8], scenario.database)
+            evaluate_query_set_sequential(scenario.queries, scenario.database)
         )
 
-    def test_adaptive_disabled_never_cuts_over(self, scenario):
-        config = ExecutorConfig(workers=2, min_parallel_batch=1, adaptive=False)
+    def test_forced_mode_overrides_the_controller(self, scenario, monkeypatch):
+        many_cpus(monkeypatch)
+        config = ExecutorConfig(workers=2, min_parallel_batch=1)
         with EvalService(scenario.database, executor=config) as service:
-            service.evaluate(scenario.queries[:4])
+            service.controller.spawn_overhead_seconds = float("inf")
+            service.evaluate(scenario.queries[:4], mode="parallel")
             assert service.last_mode == "parallel"
-            assert service.last_mode_reason == "adaptive cutover disabled"
+            assert service.last_mode_reason == "forced by caller"
+            service.controller.spawn_overhead_seconds = 0.0
+            service.evaluate(scenario.queries[:4], mode="sequential")
+            assert service.last_mode == "sequential"
+            assert service.last_mode_reason == "forced by caller"
+            # Forced runs are realised timings too.
+            assert service.controller.queries_observed == 8
+
+    def test_unknown_forced_mode_rejected(self, scenario):
+        with EvalService(scenario.database) as service:
+            with pytest.raises(ValueError):
+                service.evaluate(scenario.queries[:2], mode="sideways")
 
     def test_small_batches_record_sequential_mode(self, scenario):
         config = ExecutorConfig(workers=2, min_parallel_batch=1000)
@@ -207,6 +268,116 @@ class TestAdaptiveCutover:
         assert triples(streamed) == triples(
             evaluate_query_set_sequential(scenario.queries, scenario.database)
         )
+
+
+class TestAdaptiveController:
+    """The controller's two moving averages and its verdicts, in isolation."""
+
+    def make(self, **kwargs):
+        defaults = dict(
+            workers=4, chunk_size=10, min_parallel_batch=4, spawn_overhead_seconds=0.01
+        )
+        defaults.update(kwargs)
+        return AdaptiveController(**defaults)
+
+    def test_no_observations_asks_for_a_head(self, monkeypatch):
+        many_cpus(monkeypatch)
+        mode, reason = self.make().decide(100)
+        assert mode is None and "no observations" in reason
+
+    def test_single_cpu_guard(self, monkeypatch):
+        import repro.eval.executor as executor_module
+
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
+        controller = self.make()
+        controller.observe(1.0, 10, "sequential")
+        assert controller.decide(100) == ("sequential", "single CPU")
+
+    def test_small_batches_stay_sequential(self, monkeypatch):
+        many_cpus(monkeypatch)
+        controller = self.make()
+        controller.observe(1.0, 10, "sequential")
+        mode, reason = controller.decide(2)
+        assert mode == "sequential" and "min_parallel_batch" in reason
+        assert controller.decide(0)[0] == "sequential"
+
+    def test_cheap_queries_stay_sequential(self, monkeypatch):
+        many_cpus(monkeypatch)
+        controller = self.make()
+        controller.observe(0.0001 * 20, 20, "sequential")  # 0.1 ms/query
+        mode, reason = controller.decide(100)
+        assert mode == "sequential" and "below spawn overhead" in reason
+
+    def test_expensive_queries_go_parallel(self, monkeypatch):
+        many_cpus(monkeypatch)
+        controller = self.make()
+        controller.observe(0.01 * 20, 20, "sequential")  # 10 ms/query
+        mode, reason = controller.decide(100)
+        assert mode == "parallel" and "above spawn overhead" in reason
+
+    def test_parallel_observations_convert_to_serial_equivalent(self):
+        controller = self.make()
+        # One chunk on 4 workers: (1.0 s − 0.01 s shipping) · 4 / 10 queries.
+        controller.observe(1.0, 10, "parallel")
+        assert controller.seconds_per_query == pytest.approx(0.396)
+        assert controller.queries_observed == 10
+
+    def test_ewma_follows_a_hundredfold_cost_shift(self, monkeypatch):
+        many_cpus(monkeypatch)
+        controller = self.make()
+        for _ in range(20):
+            controller.observe(0.0001 * 10, 10, "sequential")
+        assert controller.decide(100)[0] == "sequential"
+        # The workload turns 100x more expensive...
+        for batches in range(1, 4):
+            controller.observe(0.01 * 10, 10, "sequential")
+            if controller.seconds_per_query >= 0.005:
+                break
+        assert batches <= 2
+        assert controller.decide(100)[0] == "parallel"
+        # ...and back: a falling average follows too, within a bounded
+        # number of batches.
+        for batches in range(1, 17):
+            controller.observe(0.0001 * 10, 10, "sequential")
+            if controller.seconds_per_query <= 0.0002:
+                break
+        assert batches <= 13
+        assert controller.decide(100)[0] == "sequential"
+
+    def test_empty_observations_are_ignored(self):
+        controller = self.make()
+        controller.observe(1.0, 0, "sequential")
+        assert controller.seconds_per_query is None
+        assert controller.queries_observed == 0
+
+    def test_spawn_overhead_blends_from_its_starting_value(self):
+        controller = self.make(spawn_overhead_seconds=0.01)
+        # 4 workers did 4 s of solver work in 1.2 s of wall time over 2
+        # chunks: overhead = (1.2 − 4/4) / 2 = 0.1 s per chunk.
+        controller.observe_spawn_overhead(1.2, 4.0, 20)
+        assert controller.spawn_overhead_seconds == pytest.approx(0.3 * 0.1 + 0.7 * 0.01)
+        assert controller.overhead_observations == 1
+
+    def test_spawn_overhead_never_goes_negative(self):
+        controller = self.make(spawn_overhead_seconds=0.0)
+        controller.observe_spawn_overhead(0.1, 10.0, 10)
+        assert controller.spawn_overhead_seconds == 0.0
+
+    def test_degenerate_overhead_inputs_leave_the_estimate_alone(self):
+        controller = self.make(spawn_overhead_seconds=0.01)
+        controller.observe_spawn_overhead(1.0, 0.0, 0)
+        controller.observe_spawn_overhead(-1.0, 0.0, 10)
+        assert controller.spawn_overhead_seconds == 0.01
+        assert controller.overhead_observations == 0
+
+    def test_info_is_the_stats_projection(self):
+        controller = self.make()
+        assert set(controller.info()) == {
+            "queries_observed",
+            "seconds_per_query",
+            "spawn_overhead_seconds",
+            "overhead_observations",
+        }
 
 
 class TestMemoisedResults:
@@ -263,9 +434,7 @@ class TestSlimResults:
     def test_slim_results_ship_from_pool_workers(self, scenario):
         from repro.eval import SlimSolveResult
 
-        config = ExecutorConfig(
-            workers=2, min_parallel_batch=1, adaptive=False, slim_results=True
-        )
+        config = ExecutorConfig(workers=2, min_parallel_batch=1, slim_results=True)
         with EvalService(scenario.database, executor=config) as service:
-            results = service.evaluate(scenario.queries[:12])
+            results = service.evaluate(scenario.queries[:12], mode="parallel")
         assert all(isinstance(r, SlimSolveResult) for _, r in results)

@@ -1,10 +1,12 @@
 """Tests for the query-service front-end (:mod:`repro.service.frontend`)."""
 
+import threading
+
 import pytest
 
 from repro.cq import evaluate_query_set_sequential
 from repro.eval import ExecutorConfig
-from repro.service import AdaptiveController, QueryService
+from repro.service import QueryService, TelemetryCursor, TelemetrySink
 from repro.workloads import scenario_by_name
 
 
@@ -127,8 +129,10 @@ class TestStatsEndpoint:
             assert key in stats
         assert stats["calibration"] is None
         assert stats["planner_mode"] == "threshold"
-        assert stats["controller"]["queries_observed"] == 5
+        # One worker takes the executor's early exit: no controller work.
+        assert stats["controller"]["queries_observed"] == 0
         assert stats["mode_history"][0]["mode"] == "sequential"
+        assert stats["mode_history"][0]["reason"] == "workers <= 1"
 
 
 class TestCalibrationLifecycle:
@@ -171,90 +175,75 @@ class TestCalibrationLifecycle:
             assert service.planner.mode == "threshold"
 
 
-class TestAdaptiveController:
-    def make(self, **kwargs):
-        defaults = dict(
-            workers=4,
-            chunk_size=10,
-            spawn_overhead_seconds=0.01,
-            min_parallel_batch=4,
-            warmup_queries=8,
-            drift_window=4,
-            drift_factor=4.0,
-        )
-        defaults.update(kwargs)
-        return AdaptiveController(**defaults)
+class TestOneDecision:
+    """The front-end leaves serial vs parallel to the executor's controller."""
 
-    def test_warmup_batches_stay_sequential(self, monkeypatch):
-        import repro.service.frontend as frontend
+    def test_service_exposes_the_executor_controller(self, scenario):
+        with QueryService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            assert service.controller is service._eval.controller
 
-        monkeypatch.setattr(frontend.os, "cpu_count", lambda: 8)
-        controller = self.make()
-        mode, reason = controller.decide(100)
-        assert mode == "sequential" and "warm-up" in reason
+    def test_forced_mode_never_consults_the_controller(self, scenario, reference, monkeypatch):
+        config = ExecutorConfig(workers=2, chunk_size=5, min_parallel_batch=1)
+        with QueryService(scenario.database, executor=config) as service:
 
-    def test_single_cpu_guard(self, monkeypatch):
-        import repro.service.frontend as frontend
+            def refuse(batch_size):
+                raise AssertionError("decide() called for a forced batch")
 
-        monkeypatch.setattr(frontend.os, "cpu_count", lambda: 1)
-        controller = self.make()
-        controller.observe(1.0, 10, "sequential")
-        mode, reason = controller.decide(100)
-        assert mode == "sequential" and reason == "single CPU"
+            monkeypatch.setattr(service.controller, "decide", refuse)
+            results = service.evaluate(scenario.queries, mode="parallel")
+            history = service.stats()["mode_history"]
+        assert triples(results) == triples(reference)
+        assert history[0]["reason"] == "forced by caller"
 
-    def test_cheap_queries_stay_sequential_after_warmup(self, monkeypatch):
-        import repro.service.frontend as frontend
+    def test_calibration_state_seeds_the_spawn_overhead(self, scenario, tmp_path):
+        with QueryService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            service.evaluate(scenario.queries)
+            service.calibrate(min_samples=1, spawn_overhead_seconds=0.0123)
+            path = str(tmp_path / "calibration.json")
+            service.save_calibration(path)
+        with QueryService(
+            scenario.database, executor=ExecutorConfig(workers=1), calibration=path
+        ) as restarted:
+            assert restarted.controller.spawn_overhead_seconds == 0.0123
 
-        monkeypatch.setattr(frontend.os, "cpu_count", lambda: 8)
-        controller = self.make()
-        controller.observe(0.0001 * 20, 20, "sequential")  # 0.1ms/query
-        mode, reason = controller.decide(100)
-        assert mode == "sequential" and "below spawn overhead" in reason
 
-    def test_expensive_queries_go_parallel(self, monkeypatch):
-        import repro.service.frontend as frontend
+class TestTelemetryConsumption:
+    def test_route_counter_keeps_counting_once_the_sink_is_full(self, scenario):
+        """Every solve reaches the route counter, however small the sink."""
+        distinct = []
+        seen = set()
+        for query in scenario.queries:
+            key = (query.canonical_structure(), query.vocabulary())
+            if key not in seen:
+                seen.add(key)
+                distinct.append(query)
+        distinct = distinct[:10]
+        with QueryService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            service.stores.telemetry = TelemetrySink.local(max_batches=3)
+            for query in distinct:
+                service.evaluate([query])
+            solves = service.metrics.collect()["repro_route_solves_total"]
+        assert len(distinct) == 10
+        assert sum(solves["samples"].values()) == len(distinct)
 
-        monkeypatch.setattr(frontend.os, "cpu_count", lambda: 8)
-        controller = self.make()
-        controller.observe(0.01 * 20, 20, "sequential")  # 10ms/query
-        mode, reason = controller.decide(100)
-        assert mode == "parallel" and "above spawn overhead" in reason
+    def test_cursor_reads_each_batch_exactly_once(self):
+        sink = TelemetrySink.local(max_batches=2)
+        cursor = TelemetryCursor()
+        seen = []
+        for batch in range(5):
+            sink.record([batch, batch])
+            seen.extend(sink.drain(cursor))
+        assert seen == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+        assert sink.drain(cursor) == []
+        # Without a cursor, drain still returns everything retained.
+        assert sink.drain() == [3, 3, 4, 4]
 
-    def test_single_worker_always_sequential(self):
-        controller = self.make(workers=1)
-        controller.observe(1.0, 10, "sequential")
-        assert controller.decide(100)[0] == "sequential"
-
-    def test_small_batches_stay_sequential(self, monkeypatch):
-        import repro.service.frontend as frontend
-
-        monkeypatch.setattr(frontend.os, "cpu_count", lambda: 8)
-        controller = self.make()
-        controller.observe(0.01 * 20, 20, "sequential")
-        mode, reason = controller.decide(2)
-        assert mode == "sequential" and "min_parallel_batch" in reason
-
-    def test_parallel_observations_convert_to_serial_equivalent(self):
-        controller = self.make()
-        controller.observe(1.0, 10, "parallel")  # 4 workers → 0.4 s/query
-        assert controller.mean_seconds == pytest.approx(0.4)
-
-    def test_drift_resets_lifetime_statistics(self):
-        controller = self.make(drift_window=4, drift_factor=4.0, warmup_queries=1)
-        # A long cheap regime...
-        for _ in range(20):
-            controller.observe(0.001 * 10, 10, "sequential")
-        cheap_mean = controller.mean_seconds
-        # ...then the workload shifts to 100x slower queries.
-        for _ in range(4):
-            controller.observe(0.1 * 10, 10, "sequential")
-        assert controller.drift_events, "drift was not detected"
-        assert controller.mean_seconds > cheap_mean * 10
-        event = controller.drift_events[0]
-        assert event["window_mean_seconds"] > event["lifetime_mean_seconds"]
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            self.make(drift_window=1)
-        with pytest.raises(ValueError):
-            self.make(drift_factor=1.0)
+    def test_cursor_restarts_on_a_rebound_sink(self):
+        sink = TelemetrySink.local()
+        cursor = TelemetryCursor()
+        for batch in range(3):
+            sink.record([batch])
+        assert sink.drain(cursor) == [0, 1, 2]
+        sink.rebind([], threading.Lock())  # a failover's fresh backing
+        sink.record(["new"])
+        assert sink.drain(cursor) == ["new"]

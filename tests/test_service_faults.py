@@ -140,8 +140,8 @@ class TestManagerStoreTimeout:
 class TestTelemetryFlood:
     def test_flood_never_breaks_sample_accounting(self, scenario):
         """A telemetry flood beyond the sink bound drops oldest batches;
-        the front-end's consumed offset must clamp instead of slicing
-        past the end, and later batches must keep serving."""
+        the front-end's sequence cursor must skip what was evicted, and
+        later batches must keep serving."""
         with QueryService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
             service.evaluate(scenario.queries[:8])
             recorded = faultinject.flood_telemetry(

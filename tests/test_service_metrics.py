@@ -258,15 +258,14 @@ EXPECTED_AUTOTUNE_KEYS = {
     "rejected",
     "tracked_patterns",
     "median_residual_factors",
-    "spawn_overhead",
     "events",
 }
 
 EXPECTED_CONTROLLER_KEYS = {
     "queries_observed",
-    "mean_seconds",
+    "seconds_per_query",
     "spawn_overhead_seconds",
-    "drift_events",
+    "overhead_observations",
 }
 
 
